@@ -11,7 +11,6 @@ varies fastest) and that order fixes the basis indexing used everywhere.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidScenario, SupportViolation
@@ -163,15 +162,10 @@ def is_composite(spec: ProspectSpec) -> bool:
     return any(len(subset) > 1 for subset in spec.mode_subsets)
 
 
-def validate_prospect(
-    spec: ProspectSpec,
-    factors: tuple[ActionFactor, ...],
-    allow_free_support: bool = False,
-) -> None:
-    """Check a prospect against its factors.
+def check_mode_subsets(spec: ProspectSpec, factors: tuple[ActionFactor, ...]) -> None:
+    """Check that a prospect picks one nonempty subset of existing modes per factor.
 
-    Mode indices must exist; unless ``allow_free_support`` is set, every
-    amplitude key must lie in the Cartesian product of the mode subsets.
+    A mode is an integral number in range; ``0.0`` names mode 0.
     """
     if spec.is_empty:
         return
@@ -180,7 +174,7 @@ def validate_prospect(
             f"prospect {spec.name!r} declares subsets for {len(spec.mode_subsets)} factors, "
             f"scenario has {len(factors)}"
         )
-    for k, (subset, factor) in enumerate(zip(spec.mode_subsets, factors)):
+    for subset, factor in zip(spec.mode_subsets, factors):
         if not subset:
             raise InvalidScenario(f"prospect {spec.name!r} has an empty mode subset for factor {factor.label!r}")
         for j in subset:
@@ -189,6 +183,28 @@ def validate_prospect(
                     f"prospect {spec.name!r} references mode {j} of factor {factor.label!r} "
                     f"which has {factor.num_modes} modes"
                 )
+            if j != int(j):
+                raise InvalidScenario(
+                    f"prospect {spec.name!r} references mode {j} of factor {factor.label!r}, "
+                    f"which is not an integer"
+                )
+
+
+def validate_prospect(
+    spec: ProspectSpec,
+    factors: tuple[ActionFactor, ...],
+    allow_free_support: bool = False,
+) -> None:
+    """Check a prospect against its factors.
+
+    The mode subsets must pass `check_mode_subsets`; amplitude keys must
+    name an existing mode of every factor and, unless
+    ``allow_free_support`` is set, lie in the Cartesian product of the
+    mode subsets.
+    """
+    if spec.is_empty:
+        return
+    check_mode_subsets(spec, factors)
     for key in spec.amplitudes:
         if len(key) != len(factors):
             raise SupportViolation(
@@ -204,7 +220,3 @@ def validate_prospect(
     if not allow_free_support:
         prospect_support(spec)
 
-
-def dimension_of(factors: tuple[ActionFactor, ...] | list[ActionFactor]) -> int:
-    """Number of elementary prospects: the product of the mode counts."""
-    return math.prod(f.num_modes for f in factors)

@@ -2,8 +2,11 @@
 
 Commands: ``validate``, ``evaluate``, ``rank`` (file or ``demo:<name>``),
 ``demo <name>``, and ``random`` (emit a seeded strict scenario).  Exit
-codes: 0 success, 1 validation failure, 2 parse or usage error.  Errors
-are emitted as a single JSON line on stderr.
+codes: 0 success; 1 validation failure (``NormalizationError``) or a
+non-finite or otherwise impossible number (``NumericalError``); 2 any
+other error: parse, invalid scenario, usage, or a size beyond a limit
+(``DimensionError``, e.g. ``--oracle`` above the oracle's dimension).
+Every error is emitted as a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import InvalidScenario, NormalizationError, ParseError, UsageError
-from .measure import IDENTITY_TOL
+from .errors import InvalidScenario, NormalizationError, NumericalError, ParseError, QdtError, UsageError
+from .measure import IDENTITY_TOL, NORMALIZATION_MODES
 from .scenario_io import (
     BUILTIN_NAMES,
     DecisionReport,
@@ -55,7 +58,7 @@ def _build_parser() -> _Parser:
 
     def add_eval_flags(p):
         p.add_argument("--tolerance", type=float, default=None, help="override the scenario tolerance")
-        p.add_argument("--normalization", choices=["strict", "given", "renorm"], default=None,
+        p.add_argument("--normalization", choices=NORMALIZATION_MODES, default=None,
                        help="override the normalization policy")
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--oracle", action="store_true",
@@ -167,10 +170,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if code is not None else 0
-    except NormalizationError as exc:
+    except (NormalizationError, NumericalError) as exc:
         _error_line(exc)
         return 1
-    except (ParseError, InvalidScenario, UsageError) as exc:
+    except QdtError as exc:
         _error_line(exc)
         return 2
 

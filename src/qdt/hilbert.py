@@ -16,8 +16,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .algebra import ActionFactor, ElementaryProspect, ProspectSpec, prospect_support, validate_prospect
-from .errors import DimensionError, NormalizationError, ZeroNormError
+from .algebra import (
+    ActionFactor, ElementaryProspect, ProspectSpec, check_mode_subsets, prospect_support, validate_prospect,
+)
+from .errors import DimensionError, InvalidScenario, NormalizationError, NumericalError, ZeroNormError
 
 #: Tolerance used by `normalize` on its own output.
 UNIT_NORM_TOL = 1e-12
@@ -98,7 +100,9 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ZeroNormError("cannot normalize the zero vector")
     out = v / n
-    assert abs(np.linalg.norm(out) - 1.0) < UNIT_NORM_TOL
+    dev = abs(np.linalg.norm(out) - 1.0)
+    if not dev < UNIT_NORM_TOL:
+        raise NumericalError(f"normalized vector has norm deviation {dev:.3e}")
     return out
 
 
@@ -146,18 +150,74 @@ def build_product_state(per_factor: list[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
+def _supported(specs: tuple[ProspectSpec, ...], rows: np.ndarray, cols: np.ndarray, space: MindSpace) -> bool:
+    """Whether every amplitude key lies in the product of its prospect's mode subsets.
+
+    ``rows`` and ``cols`` give each key's prospect and basis index.  One
+    (N, modes) mask per factor marks the declared subsets; subset modes
+    that no key can match (out of range, not integral, or of a prospect
+    with another number of subsets) are left out of it.
+    """
+    dims = space.factor_dims
+    subsets = [s.mode_subsets if len(s.mode_subsets) == len(dims) else ((),) * len(dims) for s in specs]
+    for k, (d, stride) in enumerate(zip(dims, space._strides)):
+        sizes = [len(s[k]) for s in subsets]
+        owners = np.repeat(np.arange(len(specs)), sizes)
+        modes = np.fromiter(itertools.chain.from_iterable(s[k] for s in subsets), float, sum(sizes))
+        keep = (modes >= 0) & (modes < d) & (modes % 1 == 0)
+        mask = np.zeros((len(specs), d), dtype=bool)
+        mask[owners[keep], modes[keep].astype(np.int64)] = True
+        if not mask[rows, cols // stride % d].all():
+            return False
+    return True
+
+
 def build_amplitude_matrix(
     specs: list[ProspectSpec] | tuple[ProspectSpec, ...],
     space: MindSpace,
     factors: tuple[ActionFactor, ...] | None = None,
     allow_free_support: bool = False,
 ) -> np.ndarray:
-    """Stack prospect state rows into the N x K amplitude matrix."""
-    rows = []
-    for spec in specs:
-        if factors is not None:
-            validate_prospect(spec, factors, allow_free_support)
-        rows.append(build_prospect_state(spec, space, allow_free_support))
-    if not rows:
-        return np.zeros((0, space.dimension), dtype=complex)
-    return np.vstack(rows)
+    """Stack prospect state rows into the N x K amplitude matrix.
+
+    One pass over the whole scenario: when ``factors`` is given, the mode
+    subsets are checked with `check_mode_subsets`; the amplitude keys of
+    all prospects are looked up in one basis-index table, which rejects
+    keys of the wrong length or with a mode out of range; declared supports
+    are checked with boolean masks; every entry is placed with a single
+    assignment.  When a check fails, the per-prospect checks of
+    `validate_prospect` and `build_prospect_state` run to raise their typed
+    error for the first bad prospect.
+    """
+    specs = tuple(specs)
+    dims = space.factor_dims
+    if factors is not None and tuple(f.num_modes for f in factors) != dims:
+        raise DimensionError(
+            f"factors have mode counts {tuple(f.num_modes for f in factors)}, space has {dims}"
+        )
+    counts = [len(spec.amplitudes) for spec in specs]
+    nnz = sum(counts)
+    index = {key: i for i, key in enumerate(space.basis)}
+    try:
+        for spec in specs if factors is not None else ():
+            check_mode_subsets(spec, factors)
+        cols = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(spec.amplitudes for spec in specs)),
+            np.int64, nnz,
+        )
+    except (InvalidScenario, KeyError):  # a bad mode subset, or a key of the wrong length or out of range
+        cols = None
+    rows = np.repeat(np.arange(len(specs)), counts)
+    if cols is None or not (allow_free_support or _supported(specs, rows, cols, space)):
+        for spec in specs:
+            if factors is not None:
+                validate_prospect(spec, factors, allow_free_support)
+            build_prospect_state(spec, space, allow_free_support)
+        raise AssertionError("the per-prospect checks accept a scenario that the array checks reject")
+
+    values = np.fromiter(
+        itertools.chain.from_iterable(spec.amplitudes.values() for spec in specs), complex, nnz,
+    )
+    matrix = np.zeros((len(specs), space.dimension), dtype=complex)
+    matrix[rows, cols] = values
+    return matrix

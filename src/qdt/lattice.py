@@ -2,14 +2,14 @@
 
 The ordering field is ``p_normalized`` when the renorm policy produced
 one, ``p_raw`` otherwise; rescaling by the positive probability sum never
-changes the argmax, and `optimal_prospect` asserts that invariance.
+changes the argmax, and `optimal_prospect` checks that invariance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import EMPTY_PROSPECT, ProspectAttributes, ProspectSpec
+from .algebra import ProspectAttributes, ProspectSpec
 from .errors import InvalidScenario, NumericalError, StateError
 from .measure import ProbabilisticState
 
@@ -23,8 +23,6 @@ class ProspectLattice:
     """Probability-ordered prospect set, bounded by the empty prospect."""
 
     prospects: tuple[ProspectSpec, ...]
-    minimal: ProspectSpec = EMPTY_PROSPECT
-    maximal: str | None = None
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ def optimal_prospect(lattice: ProspectLattice, state: ProbabilisticState) -> str
     """Name of the prospect attaining the supremum probability.
 
     Ties are broken by lowest declaration index; use `rank_order` to see
-    the tie group.  The argmax is invariant under the renorm rescaling and
-    that invariance is asserted here.
+    the tie group.  The argmax is invariant under the renorm rescaling;
+    a violation of that invariance raises NumericalError.
     """
     if not lattice.prospects:
         raise InvalidScenario("cannot pick an optimal prospect from an empty lattice")
@@ -114,7 +112,11 @@ def optimal_prospect(lattice: ProspectLattice, state: ProbabilisticState) -> str
     names, _ = rank_order(state, tie_epsilon=0.0)
     if state.ordering_field == "p_normalized":
         raw_best = max(range(len(state.results)), key=lambda i: (state.results[i].p_raw, -i))
-        assert state.results[raw_best].name == names[0], "argmax changed under positive rescaling"
+        if state.results[raw_best].name != names[0]:
+            raise NumericalError(
+                f"argmax changed under positive rescaling: {state.results[raw_best].name!r} by p_raw, "
+                f"{names[0]!r} by p_normalized"
+            )
     return names[0]
 
 

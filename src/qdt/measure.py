@@ -7,9 +7,14 @@ the elementary-prospect basis), the three quantities of interest are
 * conjunction probability ``p_a = |b_a|^2 |c_a|^2`` (the classical, diagonal part)
 * interference term       ``q = sum_{a != b} conj(c_a) b_a conj(b_b) c_b``
 
-``p = sum_a p_a + q`` holds as an algebraic identity; this module always
-computes ``q`` from the off-diagonal double sum, never as ``p - sum_a p_a``,
-so the identity remains a genuine numerical cross-check.
+``evaluate_all`` computes all three for every row of the N x K amplitude
+matrix at once, with array operations.  ``q`` comes from the off-diagonal
+sum grouped by row, ``sum_a conj(v_a) (S - v_a)`` with ``v = conj(b) c`` and
+``S = sum_a v_a``.  That grouped form equals ``|S|^2 - sum_a |v_a|^2``
+algebraically, so ``p = sum_a p_a + q`` holds by construction and the
+``prop1_max_residual`` check measures rounding only: it cannot catch a
+defect in how ``b`` or ``c`` was built.  The independent check is the dense
+operator oracle in `qdt.oracle`.
 
 Three normalization policies mediate the two normalization conditions the
 theory imposes (unit probability sum over the lattice, and unit column
@@ -24,6 +29,7 @@ resolution of identity):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,7 +44,8 @@ if TYPE_CHECKING:
 #: (larger, configurable) policy tolerance.
 IDENTITY_TOL = 1e-12
 
-_MODES = ("strict", "given", "renorm")
+#: The normalization policies, by name.
+NORMALIZATION_MODES = ("strict", "given", "renorm")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,10 @@ class NormalizationPolicy:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise NormalizationError(f"unknown normalization mode {self.mode!r}; expected one of {_MODES}")
+        if self.mode not in NORMALIZATION_MODES:
+            raise NormalizationError(
+                f"unknown normalization mode {self.mode!r}; expected one of {NORMALIZATION_MODES}"
+            )
         if not self.tolerance > 0:
             raise NormalizationError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -76,14 +85,16 @@ class ProbabilisticState:
     policy: NormalizationPolicy
     ordering_field: str
 
+    @cached_property
+    def _by_name(self) -> dict[str, ProspectResult]:
+        # reversed, so that a repeated name maps to its first result
+        return {r.name: r for r in reversed(self.results)}
+
     def __getitem__(self, name: str) -> ProspectResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(r.name == name for r in self.results)
+        return name in self._by_name
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -92,7 +103,8 @@ class ProbabilisticState:
     def active_p(self, result: ProspectResult) -> float:
         """Probability in the field that orders the lattice."""
         if self.ordering_field == "p_normalized":
-            assert result.p_normalized is not None
+            if result.p_normalized is None:
+                raise NumericalError(f"prospect {result.name!r} has no p_normalized to order by")
             return result.p_normalized
         return result.p_raw
 
@@ -114,16 +126,22 @@ def conjunction_probability(b: complex, c: complex) -> float:
     return float(abs(b) ** 2 * abs(c) ** 2)
 
 
-def _conjunction_row(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.abs(b) ** 2 * np.abs(c) ** 2
+def _off_diagonal(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sum_{a != b} u_a v_b along the last axis, grouped as sum_a u_a (S - v_a)
+    # with S = sum_b v_b, so it costs O(K) per row.
+    return np.sum(u * (np.sum(v, axis=-1, keepdims=True) - v), axis=-1)
 
 
-def _offdiagonal_sum(b: np.ndarray, c: np.ndarray) -> complex:
-    # q = sum_a u_a * (S - v_a) with u = conj(c) b,  v = conj(b) c,  S = sum(v):
-    # exactly the off-diagonal double sum, grouped by row to stay O(K).
-    u = np.conj(c) * b
-    v = np.conj(b) * c
-    return complex(np.sum(u * (np.sum(v) - v)))
+def _imaginary_residue_rows(qc: np.ndarray, v: np.ndarray, imag_tolerance: float) -> np.ndarray:
+    """Indices of the rows whose interference sum fails the imaginary-residue gate.
+
+    The terms of the sum come in conjugate pairs, so the exact sum is real
+    and its imaginary part is rounding, which scales with the summed term
+    moduli ``(sum_a |v_a|)^2``.  The gate is ``imag_tolerance`` times that
+    bound, and never less than ``imag_tolerance``; a NaN residue fails it.
+    """
+    bound = imag_tolerance * np.maximum(1.0, np.sum(np.abs(v), axis=-1) ** 2)
+    return np.flatnonzero(~(np.abs(qc.imag) < bound))
 
 
 def interference_term(
@@ -134,27 +152,27 @@ def interference_term(
     """Off-diagonal double sum capturing attraction/repulsion bias.
 
     The sum is analytically real (terms come in conjugate pairs); an
-    imaginary residue at or above ``imag_tolerance`` signals a code defect
-    and raises NumericalError.
+    imaginary residue at or above ``imag_tolerance`` times the summed term
+    moduli (at least ``imag_tolerance``) signals a code defect and raises
+    NumericalError.
     """
     b = np.asarray(prospect_state, dtype=complex)
     c = np.asarray(psi, dtype=complex)
     if b.shape != c.shape or b.ndim != 1:
         raise DimensionError(f"prospect state has shape {b.shape}, psi has shape {c.shape}")
-    qc = _offdiagonal_sum(b, c)
-    if abs(qc.imag) >= imag_tolerance:
+    v = np.conj(b) * c
+    qc = _off_diagonal(np.conj(c) * b, v)
+    if _imaginary_residue_rows(qc, v, imag_tolerance).size:
         raise NumericalError(f"interference sum has imaginary residue {qc.imag:.3e}")
-    return qc.real
+    return float(qc.real)
 
 
 def decompose(prospect_state: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
     """Split a prospect's probability into (diagonal sum, interference term)."""
+    q = interference_term(prospect_state, psi)  # checks the shapes
     b = np.asarray(prospect_state, dtype=complex)
     c = np.asarray(psi, dtype=complex)
-    if b.shape != c.shape or b.ndim != 1:
-        raise DimensionError(f"prospect state has shape {b.shape}, psi has shape {c.shape}")
-    diag_sum = float(np.sum(_conjunction_row(b, c)))
-    return diag_sum, interference_term(b, c)
+    return float(np.sum(np.abs(b) ** 2 * np.abs(c) ** 2)), q
 
 
 def column_norm_deviation(matrix: np.ndarray) -> float:
@@ -188,41 +206,51 @@ def evaluate_all(scenario: "Scenario") -> ProbabilisticState:
         allow_free_support=scenario.options.allow_free_support,
     )
 
-    results = []
-    prop1_max = 0.0
-    for spec, row in zip(scenario.prospects, matrix):
-        p_raw = float(abs(np.vdot(row, psi)) ** 2)
-        conjunction = _conjunction_row(row, psi)
-        diag_sum = float(np.sum(conjunction))
-        q = interference_term(row, psi)
-        prop1_max = max(prop1_max, abs(p_raw - diag_sum - q))
-        results.append(ProspectResult(
-            name=spec.name, p_raw=p_raw, diag_sum=diag_sum, q=q,
-            conjunction=tuple(float(x) for x in conjunction),
-        ))
+    names = [spec.name for spec in scenario.prospects]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are rejected here
+        v = matrix.conj() * psi
+        qc = _off_diagonal(np.conj(psi) * matrix, v)
+        conjunction = np.abs(matrix) ** 2 * np.abs(psi) ** 2
+        diag = np.sum(conjunction, axis=1)
+        p = np.abs(np.vecdot(matrix, psi)) ** 2
+        bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(diag) & np.isfinite(qc)))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(
+                f"prospect {names[i]!r} has a non-finite result: "
+                f"p_raw={float(p[i])}, diag_sum={float(diag[i])}, q={complex(qc[i])}"
+            )
+        bad = _imaginary_residue_rows(qc, v, IDENTITY_TOL)
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(
+                f"interference sum of prospect {names[i]!r} has imaginary residue {qc.imag[i]:.3e}"
+            )
+    q = qc.real
 
-    sum_p = float(sum(r.p_raw for r in results))
-    sum_q = float(sum(r.q for r in results))
+    p_raw, diag_sum, q_list = p.tolist(), diag.tolist(), q.tolist()
+    sum_p = float(sum(p_raw))
+    sum_q = float(sum(q_list))
     col_dev = column_norm_deviation(matrix)
     checks = {
         "sum_p": sum_p,
         "sum_q": sum_q,
         "column_norm_max_dev": col_dev,
-        "prop1_max_residual": prop1_max,
+        "prop1_max_residual": float(np.max(np.abs(p - diag - q), initial=0.0)),
     }
 
     ordering_field = "p_raw"
+    p_normalized = [None] * len(names)
     if policy.mode == "renorm":
         if sum_p <= 0.0:
             raise NormalizationError("probabilities sum to zero; cannot renormalize", {"sum_p": sum_p})
-        results = [
-            ProspectResult(
-                name=r.name, p_raw=r.p_raw, diag_sum=r.diag_sum, q=r.q,
-                conjunction=r.conjunction, p_normalized=r.p_raw / sum_p,
-            )
-            for r in results
-        ]
+        p_normalized = [x / sum_p for x in p_raw]
         ordering_field = "p_normalized"
+    rows = zip(names, p_raw, diag_sum, q_list, conjunction.tolist(), p_normalized)
+    results = [
+        ProspectResult(name=name, p_raw=pr, diag_sum=d, q=qv, conjunction=tuple(row), p_normalized=pn)
+        for name, pr, d, qv, row, pn in rows
+    ]
 
     state = ProbabilisticState(
         results=tuple(results), checks=checks, policy=policy, ordering_field=ordering_field,

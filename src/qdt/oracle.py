@@ -3,9 +3,9 @@
 Everything here is recomputed from scratch with literal matrix products:
 rank-one prospect projectors, sandwiched conjunction operators, and the
 off-diagonal interference double loop.  No intermediate result is shared
-with the fast path in `measure`; independence is the point.  Pair counts
-are quadratic in the dimension, so keep oracle runs to desk-scale spaces
-(the default test suite stays at dimension <= 64).
+with the fast path in `measure`; independence is the point.  The cost
+grows as N * K^5 for N prospects in dimension K (about 1.4 s per prospect
+at K = 64), so `dense_evaluate` refuses spaces above `ORACLE_MAX_DIM`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .measure import IDENTITY_TOL
 
 if TYPE_CHECKING:
     from .scenario_io import Scenario
+
+#: Largest space dimension `dense_evaluate` accepts.
+ORACLE_MAX_DIM = 64
 
 
 def _as_state(v: np.ndarray) -> np.ndarray:
@@ -105,8 +108,16 @@ class DenseEvaluation:
 
 
 def dense_evaluate(scenario: "Scenario") -> DenseEvaluation:
-    """Recompute p, conjunction probabilities, and q for every prospect from dense operators."""
+    """Recompute p, conjunction probabilities, and q for every prospect from dense operators.
+
+    Raises DimensionError above `ORACLE_MAX_DIM`, before any work.
+    """
     space = MindSpace.from_factors(scenario.factors)
+    if space.dimension > ORACLE_MAX_DIM:
+        raise DimensionError(
+            f"the dense oracle is limited to dimension {ORACLE_MAX_DIM}, "
+            f"this scenario has dimension {space.dimension}"
+        )
     psi = np.asarray(scenario.state_of_mind, dtype=complex)
     free = scenario.options.allow_free_support
     states = [build_prospect_state(spec, space, free) for spec in scenario.prospects]

@@ -39,10 +39,9 @@ from .algebra import (
     ElementaryProspect,
     ProspectAttributes,
     ProspectSpec,
-    dimension_of,
     validate_prospect,
 )
-from .errors import InvalidScenario, ParseError, UsageError, ZeroNormError
+from .errors import InvalidScenario, NumericalError, ParseError, UsageError, ZeroNormError
 from .hilbert import MindSpace, basis_index, build_product_state, normalize
 from .lattice import (
     AttractionReport,
@@ -51,7 +50,7 @@ from .lattice import (
     optimal_prospect,
     rank_order,
 )
-from .measure import ProbabilisticState, evaluate_all
+from .measure import NORMALIZATION_MODES, ProbabilisticState, evaluate_all
 from .oracle import dense_evaluate
 
 FORMAT_MARKER = "qdt-scenario-v1"
@@ -80,7 +79,7 @@ class Scenario:
 
     @property
     def dimension(self) -> int:
-        return dimension_of(self.factors)
+        return self.space().dimension
 
     def space(self) -> MindSpace:
         return MindSpace.from_factors(self.factors)
@@ -226,7 +225,7 @@ def _parse_options(raw: Any) -> ScenarioOptions:
     opts = ScenarioOptions()
     if "normalization" in raw:
         mode = _as_str(raw["normalization"], "options.normalization")
-        if mode not in ("strict", "given", "renorm"):
+        if mode not in NORMALIZATION_MODES:
             raise InvalidScenario(f"unknown normalization mode {mode!r}", "options.normalization")
         opts = replace(opts, normalization=mode)
     if "tolerance" in raw:
@@ -286,7 +285,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         prospects.append(spec)
 
     raw_psi = doc["state_of_mind"]
-    dim = dimension_of(factors)
+    dim = MindSpace.from_factors(factors).dimension
     if not isinstance(raw_psi, list) or len(raw_psi) != dim:
         raise InvalidScenario(f"expected {dim} amplitude entries (space dimension)", "state_of_mind")
     psi = tuple(_as_complex(entry, f"state_of_mind[{i}]") for i, entry in enumerate(raw_psi))
@@ -550,15 +549,11 @@ def random_strict_scenario(
         ActionFactor.from_labels(k, f"f{k + 1}", [f"m{j}" for j in range(d)])
         for k, d in enumerate(dims)
     )
-    space = MindSpace.from_factors(factors)
+    basis = MindSpace.from_factors(factors).basis  # row-major: position i is basis index i
     full_subsets = tuple(tuple(range(d)) for d in dims)
     prospects = tuple(
-        ProspectSpec(
-            name=f"p{i + 1}",
-            mode_subsets=full_subsets,
-            amplitudes={key: complex(matrix[i, basis_index(key, space)]) for key in space.basis},
-        )
-        for i in range(n)
+        ProspectSpec(name=f"p{i + 1}", mode_subsets=full_subsets, amplitudes=dict(zip(basis, row)))
+        for i, row in enumerate(matrix.tolist())
     )
     return Scenario(
         factors=factors, prospects=prospects,
@@ -590,8 +585,10 @@ def build_report(scenario: Scenario, state: ProbabilisticState, with_oracle: boo
     ranking, ties = rank_order(state)
     optimal = optimal_prospect(lattice, state)
     # lattice bounds: nothing drops below the empty prospect, optimal attains the max
-    assert all(r.p_raw >= 0.0 for r in state.results)
-    assert state.active_p(state[optimal]) == max(state.active_p(r) for r in state.results)
+    if not all(r.p_raw >= 0.0 for r in state.results):
+        raise NumericalError("a prospect probability lies below the empty prospect's zero")
+    if state.active_p(state[optimal]) != max(state.active_p(r) for r in state.results):
+        raise NumericalError(f"optimal prospect {optimal!r} does not attain the maximum probability")
 
     checks = {
         "sum_p": state.checks["sum_p"],

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdt.algebra import EMPTY_PROSPECT, ProspectSpec, enumerate_elementary
-from qdt.errors import DimensionError, NormalizationError, ZeroNormError
+from qdt.errors import DimensionError, NormalizationError, NumericalError, ZeroNormError
 from qdt.hilbert import (
     MindSpace,
     basis_index,
@@ -126,6 +126,11 @@ class TestNormalize:
         with pytest.raises(ZeroNormError):
             normalize(np.zeros(3))
 
+    def test_output_check_survives_optimization(self):
+        # the norm overflows to inf, so the "normalized" output is all zeros
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="norm deviation"):
+            normalize(np.array([1e300, 1e300]))
+
 
 class TestBuildProspectState:
     def test_empty_prospect_is_vacuum(self):
@@ -215,6 +220,40 @@ class TestAmplitudeMatrix:
         assert matrix.shape == (2, 2)
         for spec, row in zip(specs, matrix):
             assert np.array_equal(row, build_prospect_state(spec, space))
+
+    def test_partial_supports_and_empty_prospect(self, rng):
+        factors = make_factors([2, 3, 2])
+        space = MindSpace.from_factors(factors)
+        specs = [EMPTY_PROSPECT, ProspectSpec("bare", ((0,), (1, 2), (0, 1)), {})]
+        for i in range(6):
+            subsets = tuple(
+                tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()))
+                for d in space.factor_dims
+            )
+            keys = [key for key in space.basis if all(j in s for j, s in zip(key, subsets))]
+            amplitudes = {key: complex(rng.standard_normal()) for key in keys}
+            specs.append(ProspectSpec(f"p{i}", subsets, amplitudes))
+        matrix = build_amplitude_matrix(specs, space, factors=factors)
+        assert matrix.shape == (len(specs), space.dimension)
+        for spec, row in zip(specs, matrix):
+            assert np.array_equal(row, build_prospect_state(spec, space))
+
+    def test_integral_float_modes(self):
+        factors = make_factors([2, 3])
+        space = MindSpace.from_factors(factors)
+        amplitudes = {(0, 2): SQ2, (1, 2): -SQ2}
+        ints = ProspectSpec("a", ((0, 1), (2,)), amplitudes)
+        floats = ProspectSpec("a", ((0.0, np.float64(1)), (2.0,)), amplitudes)
+        expected = build_amplitude_matrix([ints], space, factors=factors)
+        for f in (factors, None):
+            assert np.array_equal(build_amplitude_matrix([floats], space, factors=f), expected)
+
+    def test_no_prospects(self):
+        assert build_amplitude_matrix([], MindSpace((2, 2))).shape == (0, 4)
+
+    def test_factors_must_match_space(self):
+        with pytest.raises(DimensionError):
+            build_amplitude_matrix([], MindSpace((2, 2)), factors=make_factors([2, 3]))
 
 
 class TestCheckStateOfMind:

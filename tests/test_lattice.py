@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdt.algebra import ProspectAttributes
-from qdt.errors import InvalidScenario, StateError
+from qdt.algebra import ProspectAttributes, ProspectSpec
+from qdt.errors import InvalidScenario, NumericalError, StateError
 from qdt.lattice import (
     ProspectLattice,
     attraction_compare,
@@ -14,11 +14,15 @@ from qdt.lattice import (
     preference_criterion,
     rank_order,
 )
-from qdt.measure import evaluate_all
+from qdt.measure import NormalizationPolicy, ProbabilisticState, ProspectResult, evaluate_all
 from qdt.scenario_io import builtin_scenario
 from tests.conftest import matrix_scenario, random_general_scenario
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _lattice_of(results):
+    return ProspectLattice(prospects=tuple(ProspectSpec(r.name, ((0,),), {(0,): 1.0}) for r in results))
 
 
 def simple_state(probs, normalization="given"):
@@ -108,6 +112,15 @@ class TestOptimalProspect:
             best = optimal_prospect(lattice, state)
             raw_best = max(state.results, key=lambda r: r.p_raw).p_raw
             assert state[best].p_raw == raw_best
+
+    def test_rescale_invariance_violation_raises(self):
+        # p_normalized disagrees with p_raw on the argmax: not a positive rescaling
+        results = (ProspectResult("a", 0.6, 0.6, 0.0, (0.6,), 0.4),
+                   ProspectResult("b", 0.4, 0.4, 0.0, (0.4,), 0.6))
+        state = ProbabilisticState(results=results, checks={}, policy=NormalizationPolicy("renorm"),
+                                   ordering_field="p_normalized")
+        with pytest.raises(NumericalError, match="argmax changed"):
+            optimal_prospect(_lattice_of(results), state)
 
 
 class TestPreferenceCriterion:

@@ -1,12 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qdt.errors import DimensionError, NormalizationError
-from qdt.hilbert import build_amplitude_matrix
+from qdt import measure
+from qdt.algebra import ProspectSpec, validate_prospect
+from qdt.errors import DimensionError, InvalidScenario, NormalizationError, NumericalError, SupportViolation
+from qdt.hilbert import build_amplitude_matrix, build_prospect_state
 from qdt.measure import (
     NormalizationPolicy,
+    ProbabilisticState,
+    ProspectResult,
     column_norm_deviation,
     conjunction_probability,
     decompose,
@@ -20,6 +25,7 @@ from qdt.scenario_io import builtin_scenario, random_strict_scenario
 from tests.conftest import matrix_scenario, random_general_scenario, random_psi
 
 SQ2 = 1.0 / math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 H2_ROWS = np.array([[SQ2, SQ2], [SQ2, -SQ2]])
 H2_PSI = np.array([SQ2, SQ2])
 
@@ -242,3 +248,189 @@ class TestColumnChecks:
     def test_identity_columns(self):
         assert column_norm_deviation(np.eye(3)) == 0.0
         assert gram_deviation(np.eye(3)) == 0.0
+
+
+def _offdiagonal_sum(b, c):
+    # per-row reference: q = sum_a u_a (S - v_a), u = conj(c) b, v = conj(b) c, S = sum(v)
+    u = np.conj(c) * b
+    v = np.conj(b) * c
+    return complex(np.sum(u * (np.sum(v) - v)))
+
+
+def _reference_rows(scenario):
+    """(p, diag, q, conjunction, magnitude scale) per prospect, one row at a time."""
+    space, free = scenario.space(), scenario.options.allow_free_support
+    psi = np.asarray(scenario.state_of_mind, dtype=complex)
+    for row in (build_prospect_state(spec, space, free) for spec in scenario.prospects):
+        conjunction = np.abs(row) ** 2 * np.abs(psi) ** 2
+        p = abs(np.vdot(row, psi)) ** 2
+        scale = max(1.0, float(np.sum(np.abs(row) * np.abs(psi))) ** 2)
+        yield p, float(np.sum(conjunction)), _offdiagonal_sum(row, psi).real, conjunction, scale
+
+
+def _free_support_scenario(rng):
+    base = random_general_scenario(rng, normalization="given", max_dim=16)
+    space = base.space()
+    stray = dict(base.prospects[0].amplitudes)
+    for key in space.basis[:3]:
+        stray[key] = complex(rng.standard_normal(), rng.standard_normal())
+    prospects = (replace(base.prospects[0], amplitudes=stray),) + base.prospects[1:]
+    return replace(base, prospects=prospects, options=replace(base.options, allow_free_support=True))
+
+
+class TestVectorizedAgainstPerRowReference:
+    """evaluate_all on the whole matrix agrees with a per-row np.vdot / grouped-sum loop."""
+
+    def _assert_matches(self, scenario):
+        state = evaluate_all(scenario)
+        k = scenario.space().dimension
+        for r, (p, diag, q, conjunction, scale) in zip(state.results, _reference_rows(scenario)):
+            tol = 8 * k * EPS * scale
+            assert abs(r.p_raw - p) <= tol
+            assert abs(r.diag_sum - diag) <= tol
+            assert abs(r.q - q) <= tol
+            assert r.conjunction == tuple(conjunction.tolist())
+        return state
+
+    def test_seeded_strict(self):
+        for seed in range(5):
+            self._assert_matches(random_strict_scenario(seed, 3, [4, 2, 3]))
+
+    def test_more_prospects_than_dimension(self):
+        for seed in range(5):
+            state = self._assert_matches(random_strict_scenario(seed, 2, [2, 3], num_prospects=40))
+            assert len(state.results) == 40
+
+    def test_given_and_renorm(self, rng):
+        for mode in ("given", "renorm"):
+            for _ in range(20):
+                state = self._assert_matches(random_general_scenario(rng, normalization=mode))
+                if mode == "renorm":
+                    total = state.checks["sum_p"]
+                    assert all(r.p_normalized == r.p_raw / total for r in state.results)
+
+    def test_allow_free_support(self, rng):
+        for _ in range(10):
+            self._assert_matches(_free_support_scenario(rng))
+
+
+def _bad_prospects():
+    """Invalid prospects over factors with (2, 3) modes, one per check of validate_prospect."""
+    full = ((0, 1), (0, 1, 2))
+    return {
+        "wrong_subset_count": ProspectSpec("bad", ((0, 1),), {(0, 0): 1.0}),
+        "subset_mode_out_of_range": ProspectSpec("bad", ((0, 1), (0, 3)), {(0, 0): 1.0}),
+        "key_mode_out_of_range": ProspectSpec("bad", full, {(0, 0): 1.0, (2, 1): 1.0}),
+        "stray_support_key": ProspectSpec("bad", ((0,), (0, 1)), {(0, 0): 1.0, (1, 2): 0.5}),
+        "ragged_key": ProspectSpec("bad", full, {(0, 0): 1.0, (1,): 0.5}),
+        "empty_subset": ProspectSpec("bad", ((0, 1), ()), {(0, 0): 1.0}),
+        "fractional_subset_mode": ProspectSpec("bad", ((0, 0.5), (0, 1)), {(0, 0): 1.0}),
+    }
+
+
+class TestInvalidProspects:
+    @pytest.mark.parametrize("case", sorted(_bad_prospects()))
+    def test_same_error_as_validate_prospect(self, case):
+        base = random_strict_scenario(1, 2, [2, 3], num_prospects=7)
+        bad = _bad_prospects()[case]
+        with pytest.raises(InvalidScenario) as expected:
+            validate_prospect(bad, base.factors)
+        scenario = replace(base, prospects=base.prospects[:3] + (bad,) + base.prospects[3:])
+        with pytest.raises(InvalidScenario) as got:
+            evaluate_all(scenario)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_first_bad_prospect_is_reported(self):
+        base = random_strict_scenario(1, 2, [2, 3])
+        first = ProspectSpec("first", ((0,), (0,)), {(1, 0): 1.0})
+        second = ProspectSpec("second", ((0, 1),), {(0, 0): 1.0})
+        scenario = replace(base, prospects=base.prospects[:2] + (first, second))
+        with pytest.raises(SupportViolation, match="'first'"):
+            evaluate_all(scenario)
+
+    def test_stray_key_without_factors(self):
+        space = random_strict_scenario(1, 2, [2, 3]).space()
+        with pytest.raises(SupportViolation, match="'bad'"):
+            build_amplitude_matrix([_bad_prospects()["stray_support_key"]], space)
+
+    def test_free_support_still_checks_key_range(self):
+        base = random_strict_scenario(1, 2, [2, 3])
+        bad = _bad_prospects()["key_mode_out_of_range"]
+        scenario = replace(base, prospects=base.prospects + (bad,),
+                           options=replace(base.options, allow_free_support=True))
+        with pytest.raises(SupportViolation, match="out of range"):
+            evaluate_all(scenario)
+
+
+def _scaled_given_scenario(seed, scale):
+    """A valid given-mode K = 64 scenario whose orthonormal amplitudes are scaled by ``scale``."""
+    base = random_strict_scenario(seed, 3, [4, 4, 4])
+    matrix = build_amplitude_matrix(base.prospects, base.space())
+    return matrix_scenario([4, 4, 4], scale * matrix, base.state_of_mind, normalization="given")
+
+
+class TestNumericalGates:
+    def test_scaled_amplitudes_evaluate(self):
+        for seed in range(5):
+            state = evaluate_all(_scaled_given_scenario(seed, 1e4))
+            assert state.checks["sum_p"] == pytest.approx(1e8, rel=1e-12)
+            assert abs(state.checks["sum_q"]) <= 1e8 * 1e-12
+
+    def test_interference_term_gate_scales(self, rng):
+        b = 1e4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        psi = random_psi(rng, 64)
+        assert interference_term(b, psi) == pytest.approx(_offdiagonal_sum(b, psi).real, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_corrupted_term_still_raises(self, monkeypatch, scale):
+        scenario = _scaled_given_scenario(3, scale)
+        original = measure._off_diagonal
+
+        def corrupted(u, v):
+            u = u.copy()
+            u[5, 7] += 1e-6j * abs(u[5, 7])  # one term loses its conjugate partner
+            return original(u, v)
+
+        monkeypatch.setattr(measure, "_off_diagonal", corrupted)
+        with pytest.raises(NumericalError, match="'p6' has imaginary residue"):
+            evaluate_all(scenario)
+
+    def test_overflow_is_rejected(self):
+        scenario = matrix_scenario([2], [[1e200, 1e200], [0.0, 1.0]], [SQ2, SQ2], normalization="given")
+        with pytest.raises(NumericalError, match="'p1' has a non-finite result"):
+            evaluate_all(scenario)
+
+    def test_nan_state_of_mind_is_rejected(self):
+        scenario = matrix_scenario([2], np.eye(2), [float("nan"), 1.0], normalization="given")
+        with pytest.raises(NumericalError, match="non-finite"):
+            evaluate_all(scenario)
+
+
+class TestProbabilisticStateInvariants:
+    def _state(self, **results):
+        return ProbabilisticState(
+            results=tuple(ProspectResult(name, p, p, 0.0, (p,), pn) for name, (p, pn) in results.items()),
+            checks={}, policy=NormalizationPolicy("renorm"), ordering_field="p_normalized",
+        )
+
+    def test_lookup_by_name(self):
+        state = evaluate_all(random_strict_scenario(2, 2, [2, 2], num_prospects=6))
+        for r in state.results:
+            assert state[r.name] is r and r.name in state
+        assert "nope" not in state
+        with pytest.raises(KeyError):
+            state["nope"]
+
+    def test_repeated_name_finds_first(self):
+        state = ProbabilisticState(
+            results=(ProspectResult("a", 0.25, 0.25, 0.0, (0.25,)),
+                     ProspectResult("a", 0.75, 0.75, 0.0, (0.75,))),
+            checks={}, policy=NormalizationPolicy("given"), ordering_field="p_raw",
+        )
+        assert state["a"].p_raw == 0.25
+
+    def test_active_p_without_p_normalized_raises(self):
+        state = self._state(a=(0.5, None))
+        with pytest.raises(NumericalError, match="no p_normalized"):
+            state.active_p(state["a"])

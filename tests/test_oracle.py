@@ -7,6 +7,7 @@ from qdt.errors import DimensionError
 from qdt.hilbert import build_amplitude_matrix, normalize
 from qdt.measure import evaluate_all
 from qdt.oracle import (
+    ORACLE_MAX_DIM,
     dense_conjunction_operator,
     dense_evaluate,
     dense_expectation,
@@ -166,3 +167,8 @@ class TestDenseEvaluate:
     def test_identity_residual_strict(self):
         scenario = random_strict_scenario(seed=9, num_factors=2, modes_per_factor=2)
         assert dense_evaluate(scenario).identity_residual < 1e-12
+
+    def test_refuses_spaces_above_the_size_limit(self):
+        scenario = random_strict_scenario(seed=1, num_factors=1, modes_per_factor=ORACLE_MAX_DIM + 1)
+        with pytest.raises(DimensionError, match=f"limited to dimension {ORACLE_MAX_DIM}"):
+            dense_evaluate(scenario)

@@ -1,16 +1,19 @@
 import json
 import math
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qdt.errors import InvalidScenario, ParseError, SupportViolation, UsageError
+from qdt import scenario_io
+from qdt.errors import InvalidScenario, NumericalError, ParseError, SupportViolation, UsageError
 from qdt.hilbert import basis_index, build_amplitude_matrix
 from qdt.measure import evaluate_all, gram_deviation
 from qdt.scenario_io import (
     Scenario,
     ScenarioOptions,
+    build_report,
     builtin_scenario,
     evaluate_scenario,
     parse_scenario,
@@ -346,6 +349,19 @@ class TestReports:
         report = evaluate_scenario(builtin_scenario("disjunction"))
         assert report.attraction_report is not None
         assert report.attraction_report.passed
+
+    def test_probability_below_empty_prospect_raises(self):
+        s = builtin_scenario("h2")
+        state = evaluate_all(s)
+        results = (state.results[0], replace(state.results[1], p_raw=-1e-3))
+        with pytest.raises(NumericalError, match="below the empty prospect"):
+            build_report(s, replace(state, results=results))
+
+    def test_optimal_must_attain_the_maximum(self, monkeypatch):
+        s = builtin_scenario("h2")
+        monkeypatch.setattr(scenario_io, "optimal_prospect", lambda lattice, state: state.results[-1].name)
+        with pytest.raises(NumericalError, match="does not attain the maximum"):
+            evaluate_scenario(s)
 
     def test_tie_reporting(self):
         s = matrix_scenario([2], np.eye(2), [SQ2, SQ2], normalization="strict")
